@@ -39,11 +39,13 @@ accept ``--profile`` to sample run-level metrics (FIR decision latency,
 scheduler counters) without changing the search outcome.  Both append one entry per (strategy, case) cell to the
 run ledger (``benchmarks/out/ledger.jsonl``) unless ``--no-ledger``,
 and both memoize deterministic runs through :mod:`repro.cache` unless
-``--no-cache`` (``--cache-dir`` relocates the shared disk tier).  Round
-runs fork off a parked prefix snapshot (:mod:`repro.sim.checkpoint`)
-unless ``--no-checkpoint`` — outcome-invariant either way, and a no-op
-where ``os.fork`` is unavailable.  Round runs stop the moment the
-oracle's verdict is decided (:mod:`repro.core.verdict`) unless
+``--no-cache`` (``--cache-dir`` relocates the shared disk tier).  Every
+round run executes in-process from t=0; ``--checkpoint`` opts in to
+forking round runs off a parked prefix snapshot
+(:mod:`repro.sim.checkpoint`), which pays only for long fault-free
+prefixes — outcome-invariant either way, and a no-op where ``os.fork``
+is unavailable.  Round runs stop the moment the oracle's verdict is
+decided (:mod:`repro.core.verdict`) unless
 ``--no-early-verdict`` — also outcome-invariant: only satisfied runs can
 truncate, so feedback always sees full logs and exploration signatures
 are byte-identical either way.  Both stream live progress events to
@@ -823,9 +825,10 @@ def _add_checkpoint_options(subparser) -> None:
     subparser.add_argument(
         "--checkpoint",
         action=argparse.BooleanOptionalAction,
-        default=True,
-        help="fork round runs off a parked prefix snapshot (default on; "
-        "--no-checkpoint replays every run from t=0; outcome-invariant)",
+        default=False,
+        help="fork round runs off a parked prefix snapshot (default off: "
+        "every run replays in-process from t=0, which is faster on the "
+        "catalog; turn on for long fault-free prefixes; outcome-invariant)",
     )
 
 

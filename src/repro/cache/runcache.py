@@ -39,9 +39,11 @@ instance actually raises).  The cache exploits this twice:
   executing anything.  Baselines that keep regenerating never-firing
   windows stop paying for them.
 
-Staleness: the workload fingerprint folds in the checked-out git SHA
-and the workload function's source, so entries written by other
-commits (via the rolling CI cache) can never be served.
+Staleness: the workload fingerprint folds in the checked-out git SHA,
+a digest of every ``.py`` source of the ``repro`` package, and the
+workload function's own source.  Entries written by other commits (via
+the rolling CI cache) or before an uncommitted edit to the simulator,
+the FIR or a mini system can therefore never be served.
 
 Counters (``cache.hits`` / ``cache.misses`` / ``cache.alias_hits`` /
 ``cache.disk_hits`` / ``cache.stores`` / ``cache.disk_errors``) are
@@ -75,7 +77,10 @@ from ..obs.ledger import git_sha
 # entries would deserialize with the spec under the old attribute name.
 # Version 5: the result codec grew ``truncated_at`` (early-verdict
 # cutoff); version-4 entries would decode without the field.
-PAYLOAD_VERSION = 5
+# Version 6: ``Message``, ``LogRecord`` and ``SourceRef`` grew
+# ``slots=True`` and ``TraceEvent`` became a ``NamedTuple``, which
+# changes the pickled shape of any of them left in a result's state.
+PAYLOAD_VERSION = 6
 
 #: Lookup/served outcomes reported by :meth:`RunCache.execute`.
 HIT = "hit"
@@ -97,16 +102,49 @@ def default_disk_dir() -> str:
 
 _FINGERPRINTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
+#: Root of the ``repro`` package whose sources :func:`source_digest` hashes.
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_SOURCE_DIGEST: Optional[str] = None
+
+
+def source_digest() -> str:
+    """SHA-256 over the ``repro`` package's ``.py`` sources (once per process).
+
+    A run depends on far more than the workload function: the simulator,
+    the FIR and the mini systems all shape its result, and an uncommitted
+    edit to any of them leaves the git SHA unchanged.  Hashing the whole
+    package (~120 files, a few milliseconds) keys entries on the code that
+    actually ran.
+    """
+    global _SOURCE_DIGEST
+    if _SOURCE_DIGEST is None:
+        digest = hashlib.sha256()
+        for root, dirs, files in os.walk(_PACKAGE_ROOT):
+            dirs[:] = sorted(d for d in dirs if d != "__pycache__")
+            for name in sorted(files):
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(root, name)
+                digest.update(os.path.relpath(path, _PACKAGE_ROOT).encode())
+                digest.update(b"\x00")
+                with open(path, "rb") as handle:
+                    digest.update(handle.read())
+                digest.update(b"\x00")
+        _SOURCE_DIGEST = digest.hexdigest()
+    return _SOURCE_DIGEST
+
 
 def workload_fingerprint(workload) -> Optional[str]:
     """Content fingerprint of a workload callable, or ``None`` if unsafe.
 
     Folds together the function's dotted name, its source text (so an
-    edited workload misses), and the checked-out git SHA (so entries
+    edited workload misses), the checked-out git SHA (so entries
     persisted by other commits — e.g. via a rolling CI cache — can
-    never be served to this one).  Callables whose identity cannot be
-    established deterministically (no qualified name *and* no
-    retrievable source) are uncacheable and yield ``None``.
+    never be served to this one), and :func:`source_digest` (so an
+    uncommitted edit anywhere in the package misses too).  Callables
+    whose identity cannot be established deterministically (no
+    qualified name *and* no retrievable source) are uncacheable and
+    yield ``None``.
     """
     try:
         cached = _FINGERPRINTS.get(workload)
@@ -125,6 +163,8 @@ def workload_fingerprint(workload) -> Optional[str]:
     else:
         digest = hashlib.sha256()
         digest.update(git_sha().encode())
+        digest.update(b"\x00")
+        digest.update(source_digest().encode())
         digest.update(b"\x00")
         digest.update(f"{module}:{qualname}".encode())
         digest.update(b"\x00")

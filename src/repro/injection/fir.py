@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from ..obs import VIRTUAL
 from .corruptions import corruption_for
@@ -49,14 +49,22 @@ def dedupe_instances(instances: Iterable[FaultInstance]) -> list[FaultInstance]:
     return unique
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class TraceEvent:
-    """One dynamic execution of a fault site."""
+class TraceEvent(NamedTuple):
+    """One dynamic execution of a fault site.
+
+    A tuple rather than a dataclass: one is built per FIR request, and a
+    tuple is about half the cost of a frozen dataclass to construct.
+    """
 
     site_id: str
     occurrence: int
     time: float       # virtual seconds
     log_index: int    # number of log records emitted before this event
+
+
+#: ``tuple.__new__`` builds a :class:`TraceEvent` from a 4-tuple without
+#: the Python frame that ``TraceEvent(...)`` or ``TraceEvent._make`` cost.
+_tuple_new = tuple.__new__
 
 
 @dataclasses.dataclass
@@ -299,11 +307,9 @@ class FIR:
         self.request_count += 1
         if self.tracing:
             self.trace.append(
-                TraceEvent(
-                    site_id,
-                    occurrence,
-                    self._clock(),
-                    self._log_index_fn(),
+                _tuple_new(
+                    TraceEvent,
+                    (site_id, occurrence, self._clock(), self._log_index_fn()),
                 )
             )
         if self._trigger is not None and self.request_count == self._trigger_at:
@@ -316,11 +322,15 @@ class FIR:
         instance = None
         is_base_fault = False
         if plan is not None:
-            instance = plan.match_always(site_id, occurrence)
+            # ``match_always``/``match`` inlined; most plans carry no base
+            # faults, so the always-index is probed only when non-empty.
+            always = plan._always_by_key
+            if always:
+                instance = always.get((site_id, occurrence))
             if instance is not None:
                 is_base_fault = True
             elif self.fired is None:
-                instance = plan.match(site_id, occurrence)
+                instance = plan._by_key.get((site_id, occurrence))
         if recorder is not None:
             self.decision_seconds += time.perf_counter() - started
         if instance is not None:

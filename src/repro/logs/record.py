@@ -37,7 +37,7 @@ class Level(enum.IntEnum):
             raise ValueError(f"unknown log level: {text!r}") from None
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class SourceRef:
     """Source location of a logging statement or fault site."""
 
@@ -49,7 +49,7 @@ class SourceRef:
         return f"{self.file}:{self.line}({self.function})"
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class LogRecord:
     """One log line.
 

@@ -17,7 +17,7 @@ from ..obs import VIRTUAL
 from ..obs import metrics as obs_metrics
 from .env import Env
 from .network import Network
-from .scheduler import Simulator, Task, TaskState
+from .scheduler import Simulator, Sleep, Task, TaskState
 from .slog import LogCollector, SimLogger
 from .storage import Disk
 from .sync import Condition, Executor, Future, Lock, Queue, SerialExecutor
@@ -82,10 +82,7 @@ class Cluster:
         self.net = Network(self.sim)
         self.disk = Disk()
         self.fir = fir if fir is not None else FIR()
-        self.fir.bind(
-            log_index_fn=lambda: len(self.collector),
-            clock=lambda: self.sim.now,
-        )
+        self._bind_fir()
         self.env = Env(self)
         #: Free-form state registry the systems publish into for oracles.
         self.state: dict[str, Any] = {}
@@ -118,10 +115,18 @@ class Cluster:
     def serial_executor(self, name: str) -> SerialExecutor:
         return SerialExecutor(self.sim, name)
 
-    def sleep(self, delay: float):
-        from .scheduler import Sleep
-
+    def sleep(self, delay: float) -> Sleep:
         return Sleep(delay)
+
+    def _bind_fir(self) -> None:
+        # The log index is the record list's own ``__len__``: one C call
+        # per FIR request instead of three Python frames.  Rebound
+        # whenever the collector's log is replaced (``restore``).
+        sim = self.sim
+        self.fir.bind(
+            log_index_fn=self.collector.log._records.__len__,
+            clock=lambda: sim.now,
+        )
 
     # -------------------------------------------------------------------- runs
 
@@ -134,7 +139,7 @@ class Cluster:
             obs_metrics.increment(
                 "verdict.virtual_seconds_saved", horizon - self.sim.now
             )
-            obs_metrics.increment("verdict.events_saved", len(self.sim._heap))
+            obs_metrics.increment("verdict.events_saved", self.sim.pending_count)
         recorder = self.fir.recorder
         if recorder is not None and recorder.enabled:
             # The whole run is one virtual-clock span (deterministic per
@@ -227,6 +232,7 @@ class Cluster:
         self.disk.restore(snapshot["disk"])
         self.net.restore(snapshot["net"])
         self.collector.restore(snapshot["slog"])
+        self._bind_fir()
         self.state = dict(snapshot["state"])
 
 

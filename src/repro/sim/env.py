@@ -75,6 +75,7 @@ class Env:
 
     def __init__(self, cluster: "Cluster") -> None:
         self._cluster = cluster
+        self._on_site = cluster.fir.on_site
 
     def _site(self, op: str) -> Optional[Callable[[Any], Any]]:
         """Report the *caller's* location as a fault site.
@@ -94,7 +95,7 @@ class Env:
                 op=op,
             )
             _SITE_CACHE[key] = site
-        return self._cluster.fir.on_site(site)
+        return self._on_site(site)
 
     # -------------------------------------------------------------------- disk
 

@@ -19,7 +19,7 @@ from .sync import Queue
 DEFAULT_LATENCY = 0.001
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class Message:
     """A network datagram."""
 
@@ -83,7 +83,9 @@ class Network:
             self.delivered_count += 1
             inbox.put_nowait(message)
 
-        self._sim.call_at(self._sim.now + self._latency, deliver)
+        # No canceller: a sent message is never recalled.
+        sim = self._sim
+        sim._schedule(sim.now + self._latency, deliver, None, None, None)
 
     # ------------------------------------------------------------- checkpoint
 

@@ -15,6 +15,7 @@ oracles match the way a developer matches a jstack dump.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import enum
 import heapq
@@ -34,6 +35,13 @@ class TaskState(enum.Enum):
     DONE = "done"
     FAILED = "failed"
     KILLED = "killed"
+
+
+# Module-level aliases: the run loop and ``_step`` test task states on
+# every event, and a global read is cheaper than an enum attribute read.
+_READY = TaskState.READY
+_RUNNING = TaskState.RUNNING
+_BLOCKED = TaskState.BLOCKED
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -59,7 +67,7 @@ class Sleep:
         self.delay = delay
 
     def subscribe(self, sim: "Simulator", task: "Task") -> None:
-        sim.resume_at(sim.now + self.delay, task)
+        sim._schedule(sim.now + self.delay, _RESUME, task, None, None)
 
 
 class Task:
@@ -144,8 +152,8 @@ class Join:
         self.task._watchers.append(on_done)
 
 
-#: Heap-entry sentinel marking a task wakeup scheduled by ``resume_at``.
-#: The run loop dispatches these straight into ``Simulator._resume``
+#: Entry sentinel marking a task wakeup scheduled by ``resume_at``.
+#: The run loop dispatches these straight into the task's generator
 #: instead of through a per-wakeup closure — wakeups are by far the most
 #: common event, and the closure allocations dominated the hot loop.
 _RESUME: Any = object()
@@ -159,7 +167,7 @@ class Simulator:
         self.random = random.Random(seed)
         self.current_task: Optional[Task] = None
         self.tasks: list[Task] = []
-        #: Scheduler events popped off the heap (a run-level counter the
+        #: Scheduler entries dispatched (a run-level counter the
         #: ``repro.obs`` layer reports; deterministic per ``(seed, plan)``).
         self.events_executed = 0
         #: Entries are 6-slot lists ``[when, seq, fn, task, value, exc]``.
@@ -167,19 +175,52 @@ class Simulator:
         #: the entry in place instead of wrapping ``fn`` in a guard
         #: closure) and ``_RESUME`` for a task wakeup.  ``seq`` is unique,
         #: so heap comparisons never reach the non-orderable slots.
+        #:
+        #: Entries due in the future wait in ``_heap``; entries due *now*
+        #: (zero-delay wakeups, clamped past times) skip it and go to the
+        #: FIFO ``_ready`` deque.  Dispatch order is still exactly
+        #: ``(when, seq)`` order — see :meth:`run` for why.
         self._heap: list[list] = []
+        self._ready: collections.deque[list] = collections.deque()
         self._seq = 0
         self._crash_handlers: list[Callable[[Task], None]] = []
 
     # ------------------------------------------------------------------ events
 
+    def _schedule(
+        self,
+        when: float,
+        fn: Any,
+        task: Optional[Task],
+        value: Any,
+        exc: Optional[BaseException],
+    ) -> list:
+        """Queue one entry (no canceller); returns the entry itself.
+
+        Callers that may revoke the entry later keep it and set slot 2
+        to ``None``; the sync primitives do that instead of allocating a
+        canceller closure per wait.
+        """
+        self._seq += 1
+        now = self.now
+        if when <= now:
+            entry = [now, self._seq, fn, task, value, exc]
+            self._ready.append(entry)
+        else:
+            entry = [when, self._seq, fn, task, value, exc]
+            heapq.heappush(self._heap, entry)
+        return entry
+
+    def _wake(
+        self, task: Task, value: Any = None, exc: Optional[BaseException] = None
+    ) -> None:
+        """:meth:`resume_soon` without a canceller (the sync fast path)."""
+        self._seq += 1
+        self._ready.append([self.now, self._seq, _RESUME, task, value, exc])
+
     def call_at(self, when: float, fn: Callable[[], None]) -> Callable[[], None]:
         """Schedule ``fn`` at virtual time ``when``; returns a canceller."""
-        if when < self.now:
-            when = self.now
-        self._seq += 1
-        entry = [when, self._seq, fn, None, None, None]
-        heapq.heappush(self._heap, entry)
+        entry = self._schedule(when, fn, None, None, None)
 
         def cancel() -> None:
             entry[2] = None
@@ -197,11 +238,7 @@ class Simulator:
         exc: Optional[BaseException] = None,
     ) -> Callable[[], None]:
         """Schedule ``_resume(task, value, exc)`` without a closure."""
-        if when < self.now:
-            when = self.now
-        self._seq += 1
-        entry = [when, self._seq, _RESUME, task, value, exc]
-        heapq.heappush(self._heap, entry)
+        entry = self._schedule(when, _RESUME, task, value, exc)
 
         def cancel() -> None:
             entry[2] = None
@@ -215,6 +252,11 @@ class Simulator:
         exc: Optional[BaseException] = None,
     ) -> Callable[[], None]:
         return self.resume_at(self.now, task, value, exc)
+
+    @property
+    def pending_count(self) -> int:
+        """Entries still queued (cancelled ones included)."""
+        return len(self._heap) + len(self._ready)
 
     # ------------------------------------------------------------------- tasks
 
@@ -256,50 +298,56 @@ class Simulator:
         ``monitor`` (a :class:`repro.core.verdict.VerdictMonitor`) is
         polled after each dispatched event; when it reports the verdict
         decided, the loop exits *without* advancing ``now`` to ``until``
-        and returns ``True``.  The unmonitored path is a separate loop so
-        the common case pays nothing for the hook.
+        and returns ``True``.
         """
+        # Ordering: every entry in ``_ready`` is due at ``now``, and the
+        # deque is empty whenever time advances.  Heap entries due at the
+        # new ``now`` were pushed before time reached it, so their seqs
+        # are lower than any entry pushed since; moving them (in heap
+        # order) into the empty deque on each advance therefore keeps
+        # the whole schedule in ``(when, seq)`` order.
+        if self.now > until:
+            return False
         heap = self._heap
+        ready = self._ready
         pop = heapq.heappop
-        if monitor is None:
-            while heap:
-                when = heap[0][0]
-                if when > until:
-                    break
-                entry = pop(heap)
-                if when > self.now:
-                    self.now = when
-                # Cancelled entries still count: the pre-rewrite loop executed
-                # them as guarded no-ops, and ``events_executed`` feeds the
-                # deterministic run signature.
+        popleft = ready.popleft
+        step = self._step
+        should_stop = monitor.should_stop if monitor is not None else None
+        while True:
+            while ready:
+                entry = popleft()
+                # Cancelled entries still count: the pre-rewrite loop
+                # executed them as guarded no-ops, and ``events_executed``
+                # feeds the deterministic run signature.
                 self.events_executed += 1
                 fn = entry[2]
-                if fn is None:
-                    continue
                 if fn is _RESUME:
-                    self._resume(entry[3], value=entry[4], exc=entry[5])
-                else:
+                    # ``_resume`` inlined: wakeups are most of the events.
+                    task = entry[3]
+                    if task.state is _BLOCKED:
+                        cancel = task._cancel_wakeup
+                        if cancel is not None:
+                            cancel()
+                            task._cancel_wakeup = None
+                        task.waiting_on = None
+                        task.state = _READY
+                        step(task, entry[4], entry[5])
+                elif fn is not None:
                     fn()
-            self.now = max(self.now, until)
-            return False
-        should_stop = monitor.should_stop
-        while heap:
+                else:
+                    continue
+                if should_stop is not None and should_stop():
+                    return True
+            if not heap:
+                break
             when = heap[0][0]
             if when > until:
                 break
-            entry = pop(heap)
-            if when > self.now:
-                self.now = when
-            self.events_executed += 1
-            fn = entry[2]
-            if fn is None:
-                continue
-            if fn is _RESUME:
-                self._resume(entry[3], value=entry[4], exc=entry[5])
-            else:
-                fn()
-            if should_stop():
-                return True
+            self.now = when
+            ready.append(pop(heap))
+            while heap and heap[0][0] == when:
+                ready.append(pop(heap))
         self.now = max(self.now, until)
         return False
 
@@ -308,7 +356,7 @@ class Simulator:
     def capture(self) -> dict:
         """Snapshot the scheduler's restorable scalar state.
 
-        Tasks and pending heap entries wrap live generators, which cannot
+        Tasks and pending entries wrap live generators, which cannot
         be serialized or rebuilt in-process — process-level forking (see
         :mod:`repro.sim.checkpoint`) is what snapshots those.  This
         captures everything else, plus a digest of the pending schedule
@@ -320,13 +368,18 @@ class Simulator:
             "events_executed": self.events_executed,
             "rng_state": self.random.getstate(),
             "task_states": [(task.name, task.state.value) for task in self.tasks],
-            "pending": [(entry[0], entry[1]) for entry in self._heap],
+            # Dispatch order, so the digest does not depend on how the
+            # entries are split between the heap and the ready deque.
+            "pending": sorted(
+                [(entry[0], entry[1]) for entry in self._heap]
+                + [(entry[0], entry[1]) for entry in self._ready]
+            ),
         }
 
     def restore(self, snapshot: dict) -> None:
         """Restore the scalar state captured by :meth:`capture`.
 
-        Does not touch tasks or the event heap (see :meth:`capture`).
+        Does not touch tasks or pending entries (see :meth:`capture`).
         """
         self.now = snapshot["now"]
         self._seq = snapshot["seq"]
@@ -365,11 +418,11 @@ class Simulator:
         first: bool = False,
     ) -> None:
         """Advance the task's generator by one yield."""
-        if task.state is not TaskState.READY:
+        if task.state is not _READY:
             return  # killed or already resumed through another path
         previous = self.current_task
         self.current_task = task
-        task.state = TaskState.RUNNING
+        task.state = _RUNNING
         try:
             if exc is not None:
                 effect = task.gen.throw(exc)
@@ -391,7 +444,7 @@ class Simulator:
         finally:
             self.current_task = previous
 
-        task.state = TaskState.BLOCKED
+        task.state = _BLOCKED
         task.waiting_on = effect
         subscribe = getattr(effect, "subscribe", None)
         if subscribe is None:

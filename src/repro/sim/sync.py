@@ -1,9 +1,10 @@
 """Synchronization primitives for simulated tasks.
 
 All primitives are effects: a task blocks by ``yield``-ing the object the
-primitive returns.  Wakeups are always scheduled through ``call_soon`` so
-that execution never recurses through generator frames, keeping the run
-order a deterministic function of the event queue.
+primitive returns.  Wakeups are always scheduled as zero-delay entries
+(the scheduler's ready deque) so that execution never recurses through
+generator frames, keeping the run order a deterministic function of the
+event queue.
 
 The :class:`Future`/:class:`Executor` pair matters beyond plumbing: the
 paper's exception analysis explicitly models cross-thread exception
@@ -18,35 +19,54 @@ import collections
 from typing import Any, Callable, Generator, Optional
 
 from .errors import ExecutionException, IllegalStateException
-from .scheduler import Simulator, Task
+from .scheduler import _RESUME, Simulator, Task
+
+
+def _discard(waiters: collections.deque, task: Task) -> None:
+    # Most discards find the task already popped by the wakeup that is
+    # resuming it, so test membership rather than raise and catch.
+    if task in waiters:
+        waiters.remove(task)
 
 
 class _WaitEffect:
-    """Base for effects that park the task on a waiter list."""
+    """Base for effects that park the task on a waiter deque.
 
-    def __init__(self) -> None:
-        self._task: Optional[Task] = None
+    A parked effect is its task's ``_cancel_wakeup``: the wakeup that
+    resumes the task calls it, which drops the task from the waiter
+    deque and revokes the timeout entry, with no closure allocated per
+    wait.  So one effect object parks one task at a time; every
+    primitive hands out a fresh effect per call.
+    """
+
+    # Both are set by ``_park``; the cleanup only ever runs after it.
+    __slots__ = ("_task", "_timer")
 
     def _park(
         self,
         sim: Simulator,
         task: Task,
-        unregister: Callable[[], None],
         timeout: Optional[float] = None,
         on_timeout: Any = None,
     ) -> None:
         """Register cleanup and (optionally) a timeout wakeup."""
-        cancel_timer: Callable[[], None] = lambda: None
+        self._task = task
+        self._timer = None
         if timeout is not None:
-            cancel_timer = sim.resume_at(
-                sim.now + timeout, task, value=on_timeout
+            self._timer = sim._schedule(
+                sim.now + timeout, _RESUME, task, on_timeout, None
             )
+        task._cancel_wakeup = self
 
-        def cleanup() -> None:
-            unregister()
-            cancel_timer()
+    def __call__(self) -> None:
+        """Cleanup on wakeup: unregister, then revoke the timeout."""
+        self._unregister(self._task)
+        timer = self._timer
+        if timer is not None:
+            timer[2] = None
 
-        task._cancel_wakeup = cleanup
+    def _unregister(self, task: Task) -> None:
+        raise NotImplementedError
 
 
 class Condition:
@@ -60,26 +80,20 @@ class Condition:
     def __init__(self, sim: Simulator, name: str = "cond") -> None:
         self._sim = sim
         self.name = name
-        self._waiters: list[Task] = []
+        self._waiters: collections.deque[Task] = collections.deque()
 
     def wait(self, timeout: Optional[float] = None) -> "_ConditionWait":
         return _ConditionWait(self, timeout)
 
     def notify_all(self) -> None:
-        waiters, self._waiters = self._waiters, []
+        waiters, self._waiters = self._waiters, collections.deque()
+        wake = self._sim._wake
         for task in waiters:
-            self._sim.resume_soon(task, value=True)
+            wake(task, True)
 
     def notify(self) -> None:
         if self._waiters:
-            task = self._waiters.pop(0)
-            self._sim.resume_soon(task, value=True)
-
-    def _discard(self, task: Task) -> None:
-        try:
-            self._waiters.remove(task)
-        except ValueError:
-            pass
+            self._sim._wake(self._waiters.popleft(), True)
 
     def capture(self) -> dict:
         """Snapshot for fingerprinting (waiters referenced by name)."""
@@ -87,20 +101,18 @@ class Condition:
 
 
 class _ConditionWait(_WaitEffect):
+    __slots__ = ("_condition", "_timeout")
+
     def __init__(self, condition: Condition, timeout: Optional[float]) -> None:
-        super().__init__()
         self._condition = condition
         self._timeout = timeout
 
     def subscribe(self, sim: Simulator, task: Task) -> None:
         self._condition._waiters.append(task)
-        self._park(
-            sim,
-            task,
-            unregister=lambda: self._condition._discard(task),
-            timeout=self._timeout,
-            on_timeout=False,
-        )
+        self._park(sim, task, timeout=self._timeout, on_timeout=False)
+
+    def _unregister(self, task: Task) -> None:
+        _discard(self._condition._waiters, task)
 
 
 class Lock:
@@ -110,7 +122,7 @@ class Lock:
         self._sim = sim
         self.name = name
         self._holder: Optional[Task] = None
-        self._waiters: list[Task] = []
+        self._waiters: collections.deque[Task] = collections.deque()
 
     @property
     def held(self) -> bool:
@@ -128,20 +140,14 @@ class Lock:
             raise IllegalStateException(f"lock {self.name} released while free")
         self._holder = None
         if self._waiters:
-            task = self._waiters.pop(0)
+            task = self._waiters.popleft()
             self._holder = task
-            self._sim.resume_soon(task, value=True)
+            self._sim._wake(task, True)
 
     def force_release(self) -> None:
         """Drop the lock regardless of holder (crash-cleanup analog)."""
         if self._holder is not None:
             self.release()
-
-    def _discard(self, task: Task) -> None:
-        try:
-            self._waiters.remove(task)
-        except ValueError:
-            pass
 
     def capture(self) -> dict:
         """Snapshot for fingerprinting (tasks referenced by name)."""
@@ -153,18 +159,22 @@ class Lock:
 
 
 class _LockAcquire(_WaitEffect):
+    __slots__ = ("_lock",)
+
     def __init__(self, lock: Lock) -> None:
-        super().__init__()
         self._lock = lock
 
     def subscribe(self, sim: Simulator, task: Task) -> None:
         if self._lock._holder is None:
             self._lock._holder = task
-            sim.resume_soon(task, value=True)
+            sim._wake(task, True)
             task._cancel_wakeup = None
             return
         self._lock._waiters.append(task)
-        self._park(sim, task, unregister=lambda: self._lock._discard(task))
+        self._park(sim, task)
+
+    def _unregister(self, task: Task) -> None:
+        _discard(self._lock._waiters, task)
 
 
 class Queue:
@@ -182,8 +192,8 @@ class Queue:
         self.name = name
         self.capacity = capacity
         self._items: collections.deque[Any] = collections.deque()
-        self._getters: list[Task] = []
-        self._putters: list[tuple[Task, Any]] = []
+        self._getters: collections.deque[Task] = collections.deque()
+        self._putters: collections.deque[tuple[Task, Any]] = collections.deque()
 
     def __len__(self) -> int:
         return len(self._items)
@@ -227,8 +237,7 @@ class Queue:
     def _deliver(self, item: Any) -> None:
         """Hand an item to a waiting getter or store it."""
         if self._getters:
-            getter = self._getters.pop(0)
-            self._sim.resume_soon(getter, value=item)
+            self._sim._wake(self._getters.popleft(), item)
         else:
             self._items.append(item)
 
@@ -236,9 +245,9 @@ class Queue:
         if self._putters and (
             self.capacity is None or len(self._items) < self.capacity
         ):
-            putter, item = self._putters.pop(0)
+            putter, item = self._putters.popleft()
             self._items.append(item)
-            self._sim.resume_soon(putter, value=None)
+            self._sim._wake(putter)
 
     # ------------------------------------------------------------- checkpoint
 
@@ -257,19 +266,16 @@ class Queue:
         self.capacity = snapshot["capacity"]
         self._items = collections.deque(snapshot["items"])
 
-    def _discard_getter(self, task: Task) -> None:
-        try:
-            self._getters.remove(task)
-        except ValueError:
-            pass
-
     def _discard_putter(self, task: Task) -> None:
-        self._putters = [(t, i) for t, i in self._putters if t is not task]
+        self._putters = collections.deque(
+            (t, i) for t, i in self._putters if t is not task
+        )
 
 
 class _QueuePut(_WaitEffect):
+    __slots__ = ("_queue", "_item")
+
     def __init__(self, queue: Queue, item: Any) -> None:
-        super().__init__()
         self._queue = queue
         self._item = item
 
@@ -277,16 +283,20 @@ class _QueuePut(_WaitEffect):
         queue = self._queue
         if queue.capacity is None or len(queue._items) < queue.capacity or queue._getters:
             queue._deliver(self._item)
-            sim.resume_soon(task, value=None)
+            sim._wake(task)
             task._cancel_wakeup = None
             return
         queue._putters.append((task, self._item))
-        self._park(sim, task, unregister=lambda: queue._discard_putter(task))
+        self._park(sim, task)
+
+    def _unregister(self, task: Task) -> None:
+        self._queue._discard_putter(task)
 
 
 class _QueueGet(_WaitEffect):
+    __slots__ = ("_queue", "_timeout")
+
     def __init__(self, queue: Queue, timeout: Optional[float]) -> None:
-        super().__init__()
         self._queue = queue
         self._timeout = timeout
 
@@ -295,17 +305,14 @@ class _QueueGet(_WaitEffect):
         if queue._items:
             item = queue._items.popleft()
             queue._admit_putter()
-            sim.resume_soon(task, value=item)
+            sim._wake(task, item)
             task._cancel_wakeup = None
             return
         queue._getters.append(task)
-        self._park(
-            sim,
-            task,
-            unregister=lambda: queue._discard_getter(task),
-            timeout=self._timeout,
-            on_timeout=None,
-        )
+        self._park(sim, task, timeout=self._timeout, on_timeout=None)
+
+    def _unregister(self, task: Task) -> None:
+        _discard(self._queue._getters, task)
 
 
 class Future:
@@ -322,7 +329,7 @@ class Future:
         self._done = False
         self._result: Any = None
         self._exception: Optional[BaseException] = None
-        self._waiters: list[Task] = []
+        self._waiters: collections.deque[Task] = collections.deque()
 
     @property
     def done(self) -> bool:
@@ -355,17 +362,12 @@ class Future:
             task._cancel_wakeup = None
             return
         self._waiters.append(task)
-
-        def unregister() -> None:
-            try:
-                self._waiters.remove(task)
-            except ValueError:
-                pass
-
-        task._cancel_wakeup = unregister
+        # A future is shared by all its waiters, so the per-task cleanup
+        # cannot live on the future itself the way a _WaitEffect's does.
+        task._cancel_wakeup = lambda: _discard(self._waiters, task)
 
     def _wake_all(self) -> None:
-        waiters, self._waiters = self._waiters, []
+        waiters, self._waiters = self._waiters, collections.deque()
         for task in waiters:
             self._schedule_wake(task)
 
@@ -373,9 +375,9 @@ class Future:
         # The future is write-once and already done here, so capturing the
         # outcome now (rather than at fire time) is equivalent.
         if self._exception is not None:
-            self._sim.resume_soon(task, exc=ExecutionException(self._exception))
+            self._sim._wake(task, None, ExecutionException(self._exception))
         else:
-            self._sim.resume_soon(task, value=self._result)
+            self._sim._wake(task, self._result)
 
     # ------------------------------------------------------------- checkpoint
 

@@ -4,10 +4,14 @@ and the hard invariant that caching never changes a search outcome.
 
 import os
 import pickle
+import shutil
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import repro
 from repro.cache import (
     RunCache,
     active,
@@ -355,3 +359,61 @@ def test_search_outcome_invariant_under_cache(case_id, tmp_path):
     cache = active()
     assert cache is not None
     assert cache.stats.hits > 0  # the warm pass was actually served
+
+
+_EDIT_PROBE = """
+import sys
+from repro.cache import configure
+from repro.cache.runcache import MISS
+from repro.failures import get_case
+
+cache = configure(disk_dir=sys.argv[1])
+case = get_case("f22")
+result, outcome = cache.execute(
+    case.workload, horizon=case.horizon, seed=case.seed, plan=None
+)
+created = [r.message for r in result.log if "Column family" in r.message]
+print(outcome, created[0] if created else "")
+"""
+
+
+def test_uncommitted_source_edit_misses_the_disk_tier(tmp_path):
+    """An edit to a mini system must never be served the pre-edit run.
+
+    The package is copied so the edit cannot touch the checkout; each
+    probe is a fresh interpreter, the way a user re-runs after editing.
+    """
+    package = os.path.dirname(os.path.abspath(repro.__file__))
+    root = tmp_path / "src"
+    shutil.copytree(
+        package, root / "repro", ignore=shutil.ignore_patterns("__pycache__")
+    )
+    cache_dir = tmp_path / "cache"
+
+    def probe() -> list[str]:
+        done = subprocess.run(
+            [sys.executable, "-c", _EDIT_PROBE, str(cache_dir)],
+            cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(root),
+                 "PYTHONDONTWRITEBYTECODE": "1"},
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        return done.stdout.split(None, 1)
+
+    outcome, message = probe()
+    assert outcome == MISS
+    assert message.startswith("Column family") and "created on" in message
+    assert probe() == [HIT, message]        # the disk tier serves reruns
+
+    replica = root / "repro" / "systems" / "minicass" / "replica.py"
+    source = replica.read_text()
+    assert source.count('"Column family %s created on %s"') == 1
+    replica.write_text(source.replace(
+        '"Column family %s created on %s"', '"Column family %s ready on %s"'
+    ))
+    outcome, edited = probe()
+    assert outcome == MISS
+    assert "ready on" in edited and "created on" not in edited

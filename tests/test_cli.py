@@ -4,10 +4,11 @@ import json
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import build_parser, main
 from repro.failures import all_cases
 from repro.obs import bus as event_bus
 from repro.obs import ledger
+from repro.obs import metrics as obs_metrics
 
 
 @pytest.fixture(autouse=True)
@@ -522,3 +523,28 @@ class TestWatch:
         captured = capsys.readouterr()
         assert code == 2
         assert "no event stream" in captured.err
+
+
+class TestCheckpointDefault:
+    """Round runs execute in-process unless ``--checkpoint`` opts in."""
+
+    @pytest.mark.parametrize("command", ["reproduce", "compare"])
+    def test_parser_defaults_to_in_process_runs(self, command):
+        parser = build_parser()
+        assert parser.parse_args([command, "f1"]).checkpoint is False
+        assert parser.parse_args([command, "f1", "--checkpoint"]).checkpoint
+        assert not parser.parse_args([command, "f1", "--no-checkpoint"]).checkpoint
+
+    def test_opt_in_opens_a_holder_and_prints_the_same_table(self, capsys):
+        argv = ["compare", "f1,f9", "--jobs", "1", "--no-cache",
+                "--no-ledger", "--no-events"]
+        # The stderr counters are process-wide; start each leg from zero.
+        obs_metrics.reset()
+        assert main(argv) == 0
+        default = capsys.readouterr()
+        obs_metrics.reset()
+        assert main(argv + ["--checkpoint"]) == 0
+        forked = capsys.readouterr()
+        assert "[checkpoint:" not in default.err
+        assert "[checkpoint:" in forked.err
+        assert forked.out == default.out
